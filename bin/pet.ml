@@ -772,11 +772,6 @@ module Log = Pet_obs.Log
 let fstr k v = (k, Pet_obs.Trace.String v)
 let fint k v = (k, Pet_obs.Trace.Int v)
 
-let contains_sub s sub =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  n = 0 || at 0
-
 (* Tee structured log lines into a flight journal (alongside the
    default standard-error sink); returns the encoder so the exit path
    can reuse its sequence numbers. *)
@@ -1189,21 +1184,13 @@ let serve_cmd =
        consecutive frames), so the response bytes for everything else
        are untouched. [frames = 0] streams until the driver closes
        stdin, exactly like the TCP transport. *)
-    let watch_params line =
-      if contains_sub line "\"watch\"" then
-        match Pet_server.Proto.decode line with
-        | Ok { request = Pet_server.Proto.Watch { interval; frames }; _ } ->
-          Some (interval, frames)
-        | _ -> None
-      else None
-    in
     let handled = ref 0 in
     let rec loop () =
       match In_channel.input_line stdin with
       | None -> ()
       | Some line ->
         if String.trim line <> "" then begin
-          (match watch_params line with
+          (match Pet_server.Proto.watch_request line with
           | Some (interval, frames) ->
             let rec stream i =
               if frames = 0 || i < frames then begin

@@ -110,8 +110,8 @@ let session_hint line =
   let is_ws c = c = ' ' || c = '\t' in
   let rec skip_ws i = if i < len && is_ws line.[i] then skip_ws (i + 1) else i in
   let rec search from =
-    if from + klen > len then None
-    else if String.sub line from klen <> key then search (from + 1)
+    let from = Proto.index_sub line key ~from in
+    if from < 0 then None
     else
       let i = skip_ws (from + klen) in
       if i >= len || line.[i] <> ':' then search (from + 1)
@@ -261,27 +261,6 @@ let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i =
-    i + m <= n && (String.sub line i m = sub || go (i + 1))
-  in
-  go 0
-
-(* Recognize a well-formed [watch] request without parsing anything on
-   the non-watch path: a cheap substring scan gates the full decode, so
-   lines that merely mention "watch" in a value decode once and take the
-   normal path, and every other line is byte-for-byte untouched.
-   Malformed watch requests also return [None] — the shard produces the
-   same error response it always did. *)
-let watch_params line =
-  if not (contains_sub line "\"watch\"") then None
-  else
-    match Proto.decode line with
-    | Ok { Proto.request = Proto.Watch { interval; frames }; _ } ->
-      Some (interval, frames)
-    | Ok _ | Error _ -> None
-
 (* Stream a watch subscription: a dedicated thread re-enqueues the same
    request line every [interval], so each frame travels the ordinary
    request path (same queues, same outstanding budget, one ok-response
@@ -326,7 +305,7 @@ let conn_loop t ic conn =
       else if trimmed = "quit" then ()
       else if Atomic.get t.stop_flag then ()
       else begin
-        (match watch_params line with
+        (match Proto.watch_request line with
         | Some (interval, frames) ->
           start_watch t conn line ~interval ~frames
         | None ->
@@ -384,6 +363,10 @@ let acceptor_loop t =
     match Unix.accept ~cloexec:true t.listen with
     | fd, _ ->
       Obs.incr obs_accepted;
+      (* Replies are small single writes; without this, Nagle's
+         algorithm holds one back until the client's delayed ACK. *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
       ignore (Thread.create (fun () -> handle_conn t fd) ());
       go ()
     | exception Unix.Unix_error (EINTR, _, _) -> go ()

@@ -7,10 +7,13 @@
 
    Like the grant ledgers, one store is shared across every shard of a
    sharded deployment (a revocation must reach the grant wherever it
-   was recorded); the mutex guards the table and the sweep cursor. The
-   per-entry mutable fields are only written by the session's owning
-   shard (requests route by session id) and by the sweep, whose ledger
-   tombstoning is idempotent — a benign race. *)
+   was recorded). The mutex guards the table and the horizon index:
+   exactly the armed entries, ordered by (expires_at, session), so
+   finding what is due costs O(hits + log n) however large the archive.
+   [revoke], [set_horizon] and [note_expired], the only writers of the
+   arming fields, keep the index in step; other fields are written only
+   by the session's owning shard (requests route by session id). Two
+   shards may apply the same due entry; tombstoning is idempotent. *)
 
 type entry = {
   session : string;
@@ -24,13 +27,18 @@ type entry = {
 
 type counters = { tracked : int; revoked : int; expired : int; pending : int }
 
+module Horizons = Map.Make (struct
+  type t = float * string
+
+  let compare (h, s) (h', s') =
+    match Float.compare h h' with 0 -> String.compare s s' | c -> c
+end)
+
 type t = {
   m : Mutex.t;
   entries : (string, entry) Hashtbl.t;
-  mutable cursor : string list;
-      (* session ids still to visit in the current incremental
-         horizon-sweep round; refilled from the armed entries when
-         exhausted — the consent twin of [Session.sweep_step] *)
+  mutable armed : entry Horizons.t;  (* keyed by (expires_at, session) *)
+  mutable pending : int;  (* cardinal of [armed] *)
   mutable revoked : int;
   mutable expired : int;
 }
@@ -39,7 +47,8 @@ let create () =
   {
     m = Mutex.create ();
     entries = Hashtbl.create 16;
-    cursor = [];
+    armed = Horizons.empty;
+    pending = 0;
     revoked = 0;
     expired = 0;
   }
@@ -79,74 +88,68 @@ let register t ~session ?(key = "") ?tenant () =
 
 let note_granted (entry : entry) grant_id = entry.grant_id <- Some grant_id
 
-let revoke t (entry : entry) ~at =
+(* The index key of an armed entry: unexpired, unrevoked, horizon set. *)
+let slot (entry : entry) =
+  match entry.horizon with
+  | Some (h, _) when (not entry.expired) && entry.revoked_at = None ->
+    Some (h, entry.session)
+  | _ -> None
+
+(* Mutate an entry's arming fields under the lock, moving it out of and
+   back into the index around the change. *)
+let rearm t entry f =
   locked t @@ fun () ->
+  Option.iter
+    (fun k ->
+      t.armed <- Horizons.remove k t.armed;
+      t.pending <- t.pending - 1)
+    (slot entry);
+  f ();
+  Option.iter
+    (fun k ->
+      t.armed <- Horizons.add k entry t.armed;
+      t.pending <- t.pending + 1)
+    (slot entry)
+
+let revoke t (entry : entry) ~at =
+  rearm t entry @@ fun () ->
   if entry.revoked_at = None then begin
     entry.revoked_at <- Some at;
     t.revoked <- t.revoked + 1
   end
 
 let set_horizon t (entry : entry) ~horizon ~at =
-  locked t @@ fun () ->
+  rearm t entry @@ fun () ->
   entry.horizon <- Some (horizon, at);
-  entry.expired <- false;
-  (* Front of the cursor: a freshly armed horizon is seen within one
-     sweep call even mid-round. *)
-  t.cursor <- entry.session :: t.cursor
+  entry.expired <- false
 
 let note_expired t (entry : entry) =
-  locked t @@ fun () ->
+  rearm t entry @@ fun () ->
   if not entry.expired then begin
     entry.expired <- true;
     t.expired <- t.expired + 1
   end
 
-let armed (entry : entry) =
-  (not entry.expired) && entry.revoked_at = None && entry.horizon <> None
-
-(* Entries whose horizon has passed, visiting at most [budget] armed
-   entries and resuming where the previous call stopped. The caller
+(* The earliest armed entries whose horizon has passed, at most
+   [budget] of them, read off the low end of the index. The caller
    tombstones each returned entry's grant and then [note_expired]s it —
    kept outside this call so the ledger lock is never taken under the
    consent lock. *)
-let due ?(budget = 32) t ~now =
+let take ~budget t ~now =
   locked t @@ fun () ->
-  if t.cursor = [] then
-    t.cursor <-
-      Hashtbl.fold
-        (fun id entry acc -> if armed entry then id :: acc else acc)
-        t.entries [];
-  let hits = ref [] in
-  let rec go remaining =
-    if remaining > 0 then
-      match t.cursor with
-      | [] -> ()
-      | id :: rest ->
-        t.cursor <- rest;
-        (match Hashtbl.find_opt t.entries id with
-        | Some entry when armed entry -> (
-          match entry.horizon with
-          | Some (h, _) when h <= now -> hits := entry :: !hits
-          | _ -> ())
-        | _ -> ());
-        go (remaining - 1)
+  let rec go n seq acc =
+    match seq () with
+    | Seq.Cons (((h, _), entry), rest) when n > 0 && h <= now ->
+      go (n - 1) rest (entry :: acc)
+    | _ -> List.rev acc
   in
-  go budget;
-  List.rev !hits
+  go budget (Horizons.to_seq t.armed) []
 
-(* Every armed entry past [now], regardless of budget — the
-   post-recovery pass that applies whatever horizons the crash
-   interrupted. *)
-let all_due t ~now =
-  locked t @@ fun () ->
-  Hashtbl.fold
-    (fun _ entry acc ->
-      if armed entry then
-        match entry.horizon with
-        | Some (h, _) when h <= now -> entry :: acc
-        | _ -> acc
-      else acc)
-    t.entries []
+let due ?(budget = 32) t ~now = take ~budget t ~now
+
+(* Every due entry, regardless of budget — the post-recovery pass that
+   applies whatever horizons the crash interrupted. *)
+let all_due t ~now = take ~budget:max_int t ~now
 
 let entries t =
   locked t (fun () ->
@@ -158,14 +161,9 @@ let entries t =
 
 let counters t =
   locked t @@ fun () ->
-  let pending =
-    Hashtbl.fold
-      (fun _ entry acc -> if armed entry then acc + 1 else acc)
-      t.entries 0
-  in
   {
     tracked = Hashtbl.length t.entries;
     revoked = t.revoked;
     expired = t.expired;
-    pending;
+    pending = t.pending;
   }

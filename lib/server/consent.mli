@@ -10,10 +10,14 @@
 
     In a sharded deployment one store is shared by every shard, behind
     {!Shared}: a revocation must reach the grant wherever it was
-    recorded. The mutex guards the table and the incremental sweep
-    cursor; per-entry mutations are effectively single-writer (requests
-    route by session id) and the sweep's ledger tombstoning is
-    idempotent. *)
+    recorded. The mutex guards the table and an index of the armed
+    entries ordered by (expires_at, session), so {!due} costs
+    O(hits + log n) however large the archive grows. The fields that
+    decide arming ([revoked_at], [horizon], [expired]) must only be
+    written through {!revoke}, {!set_horizon} and {!note_expired}, which
+    keep the index in step; other per-entry mutations are effectively
+    single-writer (requests route by session id) and the sweep's ledger
+    tombstoning is idempotent. *)
 
 type entry = {
   session : string;
@@ -47,25 +51,28 @@ val revoke : t -> entry -> at:float -> unit
     timestamp). The caller tombstones the ledger record itself. *)
 
 val set_horizon : t -> entry -> horizon:float -> at:float -> unit
-(** Arm (or move) the expiry horizon — the latest call wins, and the
-    entry is queued so the next sweep step sees it. *)
+(** Arm (or move) the expiry horizon — the latest call wins. This also
+    re-arms an entry whose earlier horizon was already applied; the
+    entry is indexed at its new horizon, so the next {!due} sees it. *)
 
 val note_expired : t -> entry -> unit
 (** The horizon was applied: its grant is now a tombstone. *)
 
 val due : ?budget:int -> t -> now:float -> entry list
-(** Armed entries whose horizon has passed, visiting at most [budget]
-    (default 32) entries per call and resuming where the previous call
-    stopped — the consent twin of {!Session.sweep_step}. The caller
-    tombstones each entry's grant, then calls {!note_expired}; both
-    happen outside this call so the ledger lock is never taken under
-    the consent lock. *)
+(** The earliest armed entries whose horizon has passed, at most
+    [budget] (default 32) of them, in (expires_at, session) order:
+    O(hits + log n), and O(1) when nothing is armed. An entry stays due
+    until {!note_expired}. The caller tombstones each entry's grant,
+    then calls {!note_expired}; both happen outside this call so the
+    ledger lock is never taken under the consent lock. *)
 
 val all_due : t -> now:float -> entry list
-(** Every armed entry past [now], unbudgeted — the post-recovery pass
-    applying whatever horizons a crash interrupted. *)
+(** Every armed entry past [now], unbudgeted, in the order of {!due} —
+    the post-recovery pass applying whatever horizons a crash
+    interrupted. *)
 
 val entries : t -> entry list
 (** Every entry, ordered by (id length, id) — snapshot order. *)
 
 val counters : t -> counters
+(** O(1); [pending] counts the armed entries. *)

@@ -538,6 +538,25 @@ let decode_fast line =
     end
   end
 
+(* --- Raw-line scans ------------------------------------------------------------ *)
+
+(* Top-level and closed over nothing, so a scan allocates nothing: the
+   drivers run it on every request line. *)
+let rec sub_at s sub i j =
+  j = String.length sub || (s.[i + j] = sub.[j] && sub_at s sub i (j + 1))
+
+let rec index_sub s sub ~from =
+  if from + String.length sub > String.length s then -1
+  else if sub_at s sub from 0 then from
+  else index_sub s sub ~from:(from + 1)
+
+let watch_request line =
+  if index_sub line {|"watch"|} ~from:0 < 0 then None
+  else
+    match decode line with
+    | Ok { request = Watch { interval; frames }; _ } -> Some (interval, frames)
+    | Ok _ | Error _ -> None
+
 (* --- Encoding --------------------------------------------------------------- *)
 
 let trace_field = function

@@ -168,6 +168,18 @@ val decode_fast : string -> envelope option
     [get_report], [choose_option] and [submit_form]; the protocol
     fuzzer checks the implication on every line it generates. *)
 
+val index_sub : string -> string -> from:int -> int
+(** [index_sub s sub ~from] is the first position [>= from] where [sub]
+    occurs in [s], or [-1]. Allocates nothing — the serving drivers scan
+    every request line with it. *)
+
+val watch_request : string -> (float * int) option
+(** [Some (interval, frames)] for a well-formed [watch] request, [None]
+    for every other line. A substring scan gates the full decode, so a
+    non-watch line is never parsed here, and a line that merely mentions
+    "watch" in a value, or a malformed watch request, takes the normal
+    request path (which answers it as it always did). *)
+
 val ok_response : id:Json.t -> ?trace:string -> Json.t -> string
 
 (** [ok_response_text ~id ?trace payload] is [ok_response ~id ?trace]

@@ -1137,6 +1137,121 @@ let test_ledger_tenant_namespacing () =
   Alcotest.(check int) "alpha sees one record" 1 (records "alpha");
   Alcotest.(check int) "beta sees one record" 1 (records "beta")
 
+(* --- Consent horizon index ----------------------------------------------------- *)
+
+module Consent = Pet_server.Consent
+
+(* The reference for what is due: a fold over every entry with the
+   arming predicate, sorted into (expires_at, session) order. *)
+let reference_due consents ~now =
+  Consent.entries consents
+  |> List.filter_map (fun (e : Consent.entry) ->
+         match e.horizon with
+         | Some (h, _) when (not e.expired) && e.revoked_at = None && h <= now
+           ->
+           Some (h, e.session)
+         | _ -> None)
+  |> List.sort compare
+
+let reference_pending consents =
+  List.length (reference_due consents ~now:infinity)
+
+let horizon_keys =
+  List.map (fun (e : Consent.entry) -> (fst (Option.get e.horizon), e.session))
+
+type consent_op =
+  | Register of int
+  | Set_horizon of int * int  (* session, expires_at *)
+  | Revoke of int
+  | Note_expired of int
+
+let show_consent_op = function
+  | Register s -> Printf.sprintf "register s%d" s
+  | Set_horizon (s, h) -> Printf.sprintf "set_horizon s%d %d" s h
+  | Revoke s -> Printf.sprintf "revoke s%d" s
+  | Note_expired s -> Printf.sprintf "note_expired s%d" s
+
+(* Few sessions and few horizon values, so horizons are moved, re-armed
+   after expiry, revoked while armed, and tied across sessions. *)
+let gen_consent_ops =
+  QCheck2.Gen.(
+    let sess = int_bound 7 in
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (1, map (fun s -> Register s) sess);
+           (4, map2 (fun s h -> Set_horizon (s, h)) sess (int_bound 9));
+           (1, map (fun s -> Revoke s) sess);
+           (2, map (fun s -> Note_expired s) sess);
+         ]))
+
+let prop_consent_index =
+  QCheck2.Test.make ~count:300
+    ~name:"index matches a fold over entries"
+    ~print:(fun ops -> String.concat "; " (List.map show_consent_op ops))
+    gen_consent_ops
+    (fun ops ->
+      let consents = Consent.create () in
+      let entry s = Consent.register consents ~session:(Printf.sprintf "s%d" s) () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Register s -> ignore (entry s)
+          | Set_horizon (s, h) ->
+            Consent.set_horizon consents (entry s) ~horizon:(float_of_int h)
+              ~at:0.
+          | Revoke s -> Consent.revoke consents (entry s) ~at:0.
+          | Note_expired s -> Consent.note_expired consents (entry s));
+          (Consent.counters consents).pending = reference_pending consents
+          && List.for_all
+               (fun now ->
+                 let now = float_of_int now in
+                 let expected = reference_due consents ~now in
+                 List.sort compare (horizon_keys (Consent.all_due consents ~now))
+                 = expected
+                 && List.for_all
+                      (fun k ->
+                        horizon_keys (Consent.due ~budget:k consents ~now)
+                        = List.filteri (fun i _ -> i < k) expected)
+                      [ 0; 1; 2; 3; 32 ])
+               [ -1; 0; 3; 6; 9; 10 ])
+        ops)
+
+let test_consent_unarmed_archive () =
+  (* A large archive with nothing armed: revoked and already-applied
+     horizons, and grants that never had one. Structure only — nothing
+     here is timed. *)
+  let consents = Consent.create () in
+  for i = 0 to 99_999 do
+    let entry = Consent.register consents ~session:(Printf.sprintf "s%d" i) () in
+    if i mod 10 = 0 then begin
+      Consent.set_horizon consents entry ~horizon:1. ~at:0.;
+      if i mod 20 = 0 then Consent.revoke consents entry ~at:0.
+      else Consent.note_expired consents entry
+    end
+  done;
+  Alcotest.(check int) "tracked" 100_000 (Consent.counters consents).tracked;
+  Alcotest.(check int) "nothing pending" 0 (Consent.counters consents).pending;
+  Alcotest.(check int) "nothing due" 0
+    (List.length (Consent.due consents ~now:infinity));
+  Alcotest.(check int) "nothing due, unbudgeted" 0
+    (List.length (Consent.all_due consents ~now:infinity))
+
+let prop_index_sub =
+  QCheck2.Test.make ~count:500 ~name:"index_sub finds the first occurrence"
+    ~print:QCheck2.Print.(triple string string int)
+    QCheck2.Gen.(
+      triple
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '"' ]) (int_bound 12))
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '"' ]) (int_bound 3))
+        (int_bound 14))
+    (fun (s, sub, from) ->
+      let n = String.length s and m = String.length sub in
+      let rec naive i =
+        if i + m > n then -1 else if String.sub s i m = sub then i else naive (i + 1)
+      in
+      Proto.index_sub s sub ~from = naive from)
+
 let () =
   Alcotest.run "pet_server"
     [
@@ -1145,6 +1260,7 @@ let () =
           Alcotest.test_case "decode" `Quick test_proto_decode;
           Alcotest.test_case "decode errors" `Quick test_proto_decode_errors;
           Alcotest.test_case "encode" `Quick test_proto_encode;
+          QCheck_alcotest.to_alcotest prop_index_sub;
         ] );
       ( "registry",
         [
@@ -1192,6 +1308,9 @@ let () =
             test_consent_snapshot_replay;
           Alcotest.test_case "ledgers are namespaced per tenant" `Quick
             test_ledger_tenant_namespacing;
+          QCheck_alcotest.to_alcotest prop_consent_index;
+          Alcotest.test_case "unarmed archive has nothing due" `Quick
+            test_consent_unarmed_archive;
         ] );
       ( "trace",
         [
