@@ -765,26 +765,6 @@ let fill_cmd =
 
 (* --- serve ------------------------------------------------------------------------ *)
 
-module Log = Pet_obs.Log
-
-(* Structured-log field builders (the closed Trace.value type keeps
-   valuations out of log lines by construction). *)
-let fstr k v = (k, Pet_obs.Trace.String v)
-let fint k v = (k, Pet_obs.Trace.Int v)
-
-(* Tee structured log lines into a flight journal (alongside the
-   default standard-error sink); returns the encoder so the exit path
-   can reuse its sequence numbers. *)
-let flight_log_tee fl =
-  let enc = Pet_obs.Flight.create () in
-  Log.set_sink (fun line ->
-      prerr_endline line;
-      try
-        Pet_store.Flight_log.append fl
-          (Pet_obs.Flight.log_event enc ~now:(Pet_obs.Metrics.now ()) line)
-      with Sys_error _ -> ());
-  enc
-
 let serve_cmd =
   let serve_backend_arg =
     let doc =
@@ -944,311 +924,64 @@ let serve_cmd =
     (* The deterministic clocks are atomic so the TCP server's shards
        share one logical timeline; under --stdio the single consumer
        makes the sequence identical to the old [ref]-based one. *)
-    let now =
-      if deterministic then (
-        let tick = Atomic.make 0 in
-        fun () -> float_of_int (Atomic.fetch_and_add tick 1 + 1))
-      else Unix.gettimeofday
+    let logical () =
+      let tick = Atomic.make 0 in
+      fun () -> float_of_int (Atomic.fetch_and_add tick 1 + 1)
     in
+    let now = if deterministic then logical () else Unix.gettimeofday in
     (* Observability is always on under [serve]. It gets its own clock:
        in deterministic mode a separate logical counter, so instrumented
        code reading the obs clock (store appends, spans) cannot perturb
        the service clock that request latencies, session expiry and the
        cram transcripts depend on. *)
     Pet_obs.Metrics.enable ();
-    if deterministic then (
-      let tick = Atomic.make 0 in
-      Pet_obs.Metrics.set_clock (fun () ->
-          float_of_int (Atomic.fetch_and_add tick 1 + 1)))
-    else Pet_obs.Metrics.set_clock Unix.gettimeofday;
+    Pet_obs.Metrics.set_clock
+      (if deterministic then logical () else Unix.gettimeofday);
     (* Tracing rides on the obs clock above: always on under serve, one
        capture per request, the slow threshold set from --trace-slow. *)
     Pet_obs.Trace.enable ();
     Option.iter
       (fun ms -> Pet_obs.Trace.set_slow_threshold (ms /. 1000.))
       trace_slow;
-    Log.set_json log_json;
-    match Log.level_of_string log_level with
-    | None ->
-      `Error
-        ( false,
-          Printf.sprintf
-            "--log-level %s: expected debug, info, warn or error" log_level )
-    | Some level ->
-    Log.set_level level;
+    Pet_obs.Log.set_json log_json;
     let resolve name =
       match load_exposure name with
       | Ok exposure when List.mem name [ "running"; "hcov"; "rsa"; "loan" ] ->
         Some (Spec.to_string exposure)
       | _ -> None
     in
-    if stdio && tcp <> None then
-      `Error (false, "--stdio and --tcp are mutually exclusive")
-    else if tcp = None && domains <> 1 then
-      `Error (false, "--domains only applies to the TCP server (--tcp)")
-    else if flight && data_dir = None then
-      `Error
-        ( false,
-          "--flight requires --data-dir (the journal lives in the data \
-           directory)" )
-    else
-    match tcp with
-    | Some tcp_port -> (
-      (* TCP: recovery replay happens inside Server.start so each event
-         lands on the shard that will own its session; torn-tail and
-         damage reporting stays here, identical to stdio. *)
-      let open_store k =
-        match data_dir with
-        | None -> k None []
-        | Some dir -> (
-          match Pet_store.Store.open_dir ~fsync:(not no_fsync) dir with
-          | Error m -> `Error (false, Printf.sprintf "--data-dir %s: %s" dir m)
-          | Ok (store, recovery) ->
-            Option.iter
-              (fun (d : Pet_store.Store.damage) ->
-                Log.warn "store.torn_tail"
-                  ~fields:
-                    [
-                      fstr "file" d.Pet_store.Store.file;
-                      fint "offset" d.Pet_store.Store.offset;
-                      fstr "reason" d.Pet_store.Store.reason;
-                    ])
-              recovery.Pet_store.Store.truncated;
-            List.iter
-              (fun (d : Pet_store.Store.damage) ->
-                Log.error "store.damage"
-                  ~fields:
-                    [
-                      fstr "file" d.Pet_store.Store.file;
-                      fint "offset" d.Pet_store.Store.offset;
-                      fstr "reason" d.Pet_store.Store.reason;
-                      fstr "hint"
-                        (Printf.sprintf
-                           "replay stopped there; run `pet store verify %s`"
-                           dir);
-                    ])
-              recovery.Pet_store.Store.damage;
-            Log.info "store.recovered"
-              ~fields:
-                [
-                  fint "events" (List.length recovery.Pet_store.Store.events);
-                  fint "files" recovery.Pet_store.Store.files;
-                ];
-            k (Some store) recovery.Pet_store.Store.events)
-      in
-      open_store @@ fun store recovery ->
-      let open_flight k =
-        if not flight then k None
-        else
-          match Pet_store.Flight_log.open_dir (Option.get data_dir) with
-          | Error m ->
-            Option.iter Pet_store.Store.close store;
-            `Error (false, Printf.sprintf "--flight: %s" m)
-          | Ok fl ->
-            ignore (flight_log_tee fl);
-            k (Some fl)
-      in
-      open_flight @@ fun fl ->
-      let close_flight () =
-        match fl with
-        | None -> ()
-        | Some fl ->
-          Log.set_sink prerr_endline;
-          Pet_store.Flight_log.close fl
+    let error m = `Error (false, m) in
+    match Pet_obs.Log.level_of_string log_level with
+    | None ->
+      error
+        (Printf.sprintf "--log-level %s: expected debug, info, warn or error"
+           log_level)
+    | Some _ when stdio && tcp <> None ->
+      error "--stdio and --tcp are mutually exclusive"
+    | Some _ when tcp = None && domains <> 1 ->
+      error "--domains only applies to the TCP server (--tcp)"
+    | Some _ when tcp <> None && metrics_interval > 0 ->
+      error "--metrics-interval only applies to the stdio server, not --tcp"
+    | Some _ when flight && data_dir = None ->
+      error
+        "--flight requires --data-dir (the journal lives in the data \
+         directory)"
+    | Some level -> (
+      Pet_obs.Log.set_level level;
+      let transport =
+        match tcp with
+        | None -> Pet_net.Server.Stdio
+        | Some port -> Pet_net.Server.Tcp { port; domains; port_file }
       in
       match
-        Pet_net.Server.start ~backend ~compiled ~payoff ~capacity:cache ~ttl
-          ~tenant_quota ~resolve ?store ~recovery
+        Pet_net.Server.serve ~backend ~compiled ~payoff ~capacity:cache ~ttl
+          ~tenant_quota ~resolve ?data_dir ~fsync:(not no_fsync) ~flight
+          ~metrics_interval
           ~sweep_interval:(if deterministic then 0. else 1.)
-          ?flight:fl ~domains ~port:tcp_port ~now ()
+          ~now transport
       with
-      | Error m ->
-        close_flight ();
-        Option.iter Pet_store.Store.close store;
-        `Error (false, m)
-      | Ok server ->
-        Option.iter
-          (fun file ->
-            Out_channel.with_open_text file (fun oc ->
-                Printf.fprintf oc "%d\n" (Pet_net.Server.port server)))
-          port_file;
-        let result = Pet_net.Server.wait server in
-        Pet_net.Server.stop server;
-        Pet_net.Server.flight_dump server ~event:"exit";
-        close_flight ();
-        Option.iter Pet_store.Store.close store;
-        match result with
-        | Ok () -> `Ok ()
-        | Error m -> `Error (false, m))
-    | None ->
-    let service =
-      Pet_server.Service.create ~backend ~compiled ~payoff ~capacity:cache
-        ~ttl ~tenant_quota ~resolve ~durable:(data_dir <> None) ~now ()
-    in
-    let with_store k =
-      match data_dir with
-      | None -> k None
-      | Some dir -> (
-        match Pet_store.Store.open_dir ~fsync:(not no_fsync) dir with
-        | Error m -> `Error (false, Printf.sprintf "--data-dir %s: %s" dir m)
-        | Ok (store, recovery) ->
-          let replay_errors =
-            List.fold_left
-              (fun errors event ->
-                match Pet_server.Service.apply_event service event with
-                | Ok () -> errors
-                | Error m ->
-                  Log.error "store.replay_error" ~fields:[ fstr "reason" m ];
-                  errors + 1)
-              0 recovery.Pet_store.Store.events
-          in
-          Option.iter
-            (fun (d : Pet_store.Store.damage) ->
-              Log.warn "store.torn_tail"
-                ~fields:
-                  [
-                    fstr "file" d.Pet_store.Store.file;
-                    fint "offset" d.Pet_store.Store.offset;
-                    fstr "reason" d.Pet_store.Store.reason;
-                  ])
-            recovery.Pet_store.Store.truncated;
-          List.iter
-            (fun (d : Pet_store.Store.damage) ->
-              Log.error "store.damage"
-                ~fields:
-                  [
-                    fstr "file" d.Pet_store.Store.file;
-                    fint "offset" d.Pet_store.Store.offset;
-                    fstr "reason" d.Pet_store.Store.reason;
-                    fstr "hint"
-                      (Printf.sprintf
-                         "replay stopped there; run `pet store verify %s`" dir);
-                  ])
-            recovery.Pet_store.Store.damage;
-          Log.info "store.recovered"
-            ~fields:
-              ([
-                 fint "events" (List.length recovery.Pet_store.Store.events);
-                 fint "files" recovery.Pet_store.Store.files;
-               ]
-              @
-              if replay_errors > 0 then [ fint "replay_errors" replay_errors ]
-              else []);
-          (* Apply expiry horizons that passed while the service was
-             down, before the sink is attached (the application is
-             derivable, never re-logged). *)
-          let expired = Pet_server.Service.apply_horizons service in
-          if expired > 0 then
-            Log.info "store.horizons_applied" ~fields:[ fint "expired" expired ];
-          Pet_server.Service.set_sink service (Pet_store.Store.sink store);
-          k (Some store))
-    in
-    with_store @@ fun store ->
-    let with_flight k =
-      if not flight then k None
-      else
-        match Pet_store.Flight_log.open_dir (Option.get data_dir) with
-        | Error m ->
-          Option.iter Pet_store.Store.close store;
-          `Error (false, Printf.sprintf "--flight: %s" m)
-        | Ok fl ->
-          let enc = flight_log_tee fl in
-          Pet_store.Flight_log.append fl
-            (Pet_obs.Flight.meta enc ~now:(Pet_obs.Metrics.now ())
-               ~event:"start"
-               [ ("mode", "stdio") ]);
-          k (Some (fl, enc))
-    in
-    with_flight @@ fun fl ->
-    (* One snapshot into the journal: service gauges and SLO reports are
-       synced first (the SLO clock is the service clock — the same
-       timeline [Slo.record] stamped), the record itself is stamped with
-       the obs clock like every other flight record. *)
-    let flight_snap () =
-      match fl with
-      | None -> ()
-      | Some (fl, enc) -> (
-        try
-          let service_now = now () in
-          Pet_server.Service.sync_gauges service;
-          Pet_obs.Slo.sync Pet_server.Service.slo ~now:service_now;
-          Pet_store.Flight_log.append fl
-            (Pet_obs.Flight.snap enc
-               ?wal:(Option.map Pet_store.Store.position store)
-               ~now:(Pet_obs.Metrics.now ())
-               (Pet_obs.Metrics.snapshot ()))
-        with Sys_error _ -> ())
-    in
-    (* A watch line takes over the stream: the same request line is
-       re-dispatched once per frame (each a full snapshot — clients diff
-       consecutive frames), so the response bytes for everything else
-       are untouched. [frames = 0] streams until the driver closes
-       stdin, exactly like the TCP transport. *)
-    let handled = ref 0 in
-    let rec loop () =
-      match In_channel.input_line stdin with
-      | None -> ()
-      | Some line ->
-        if String.trim line <> "" then begin
-          (match Pet_server.Proto.watch_request line with
-          | Some (interval, frames) ->
-            let rec stream i =
-              if frames = 0 || i < frames then begin
-                print_endline (Pet_server.Service.handle_line service line);
-                flush stdout;
-                if interval > 0. then Unix.sleepf interval;
-                stream (i + 1)
-              end
-            in
-            stream 0
-          | None ->
-            print_endline (Pet_server.Service.handle_line service line);
-            flush stdout);
-          incr handled;
-          if Option.is_some fl && !handled mod 32 = 0 then flight_snap ();
-          if metrics_interval > 0 && !handled mod metrics_interval = 0 then begin
-            Pet_server.Service.sync_gauges service;
-            Log.info "metrics.snapshot"
-              ~fields:
-                [
-                  fstr "line"
-                    (Pet_obs.Export.line (Pet_obs.Metrics.snapshot ()));
-                ]
-          end;
-          Option.iter
-            (fun store ->
-              if Pet_store.Store.wants_compaction store then
-                match
-                  Pet_store.Store.compact store
-                    ~events:(Pet_server.Service.state_events service)
-                with
-                | Ok _ -> ()
-                | Error m ->
-                  Log.error "store.compaction_failed"
-                    ~fields:[ fstr "reason" m ])
-            store
-        end;
-        loop ()
-    in
-    loop ();
-    (match fl with
-    | None -> ()
-    | Some (flj, enc) ->
-      flight_snap ();
-      (try
-         List.iter
-           (Pet_store.Flight_log.append flj)
-           (Pet_obs.Flight.slow_traces enc ~now:(Pet_obs.Metrics.now ())
-              (Pet_obs.Trace.slow ()));
-         Pet_store.Flight_log.append flj
-           (Pet_obs.Flight.meta enc ~now:(Pet_obs.Metrics.now ()) ~event:"exit"
-              [])
-       with Sys_error _ -> ());
-      Log.set_sink prerr_endline;
-      Pet_store.Flight_log.close flj);
-    Pet_server.Service.shutdown service;
-    Option.iter Pet_store.Store.close store;
-    `Ok ()
+      | Ok () -> `Ok ()
+      | Error m -> error m)
   in
   let doc =
     "Run the collection service: read one JSON request per line from \

@@ -5,13 +5,23 @@ module Session = Pet_server.Session
 module Shared = Pet_server.Shared
 module Persist = Pet_server.Persist
 module Store = Pet_store.Store
+module Flight_log = Pet_store.Flight_log
+module Flight = Pet_obs.Flight
 module Obs = Pet_obs.Metrics
 module Log = Pet_obs.Log
 module Trace = Pet_obs.Trace
+module Tenant = Pet_tenant.Tenant
 
 (* --- Wiring -------------------------------------------------------------------
 
-   Threads and domains:
+   One driver ({!serve}), two transports. The driver owns the serving
+   lifecycle — store recovery, replay, horizons, the flight journal, the
+   exit dump, shutdown — and hands the recovered services to either:
+   - the inline transport (stdio): one standalone service answering
+     stdin lines on the calling domain, its WAL sink synchronous;
+   - the TCP transport, below.
+
+   TCP threads and domains:
    - the main domain runs the acceptor thread plus one thread per
      connection (blocking line I/O releases the runtime lock, so they
      interleave freely);
@@ -31,6 +41,29 @@ module Trace = Pet_obs.Trace
    on different shards may interleave; a lockstep client (one request
    in flight, like `pet ping`) always sees strict request order. *)
 
+(* --- Flight journal ------------------------------------------------------------ *)
+
+(* A journal and its one encoder. Every record — log tee, snapshots,
+   slow traces, lifecycle marks — takes its [seq] from [enc] and its
+   timestamp from the obs clock, so the sequence is gap-free whichever
+   domain wrote the record. *)
+type journal = { log : Flight_log.t; enc : Flight.t }
+
+let journal_append j record =
+  try Flight_log.append j.log record with Sys_error _ -> ()
+
+(* One snapshot record. Service gauges and SLO reports are synced first
+   (the SLO clock is the service clock, the timeline [Slo.record]
+   stamped); the record itself carries the obs clock. Call only where
+   [service] is not serving concurrently. *)
+let snap_record j ~now ~store service =
+  let service_now = now () in
+  Service.sync_gauges service;
+  Pet_obs.Slo.sync Service.slo ~now:service_now;
+  Flight.snap j.enc
+    ?wal:(Option.map Store.position store)
+    ~now:(Obs.now ()) (Obs.snapshot ())
+
 (* One live connection. The reader thread owns the descriptor's
    lifetime; shards share the write side under [wm]. [outstanding]
    counts requests queued but not yet answered: the reader blocks at
@@ -49,8 +82,8 @@ type conn = {
 
 let max_outstanding = 64
 
-type job = Request of { line : string; conn : conn } | Tick | Flight
-(* [Flight] asks shard 0 to assemble one flight-recorder snapshot (its
+type job = Request of { line : string; conn : conn } | Tick | Snap
+(* [Snap] asks shard 0 to assemble one flight-recorder snapshot (its
    own service's gauges are safe to sync there) and hand it to the
    writer domain. *)
 
@@ -72,13 +105,11 @@ type shard = {
 
 type t = {
   shards : shard array;
-  shared : Shared.t;
-  tenants : Service.compiled Pet_tenant.Tenant.t;
-      (* process-wide tenant registry, shared by every shard like
-         [shared]; the server owns its builder domain's lifecycle *)
+  tenants : Service.compiled Tenant.t;
+      (* process-wide tenant registry, shared by every shard; the
+         server stops its builder domain *)
   writer : Group_commit.t option;
-  flight : Pet_store.Flight_log.t option;
-  fenc : Pet_obs.Flight.t;
+  journal : journal option;
   store_h : Store.t option;  (* for WAL-frontier stamps on snapshots *)
   nowf : unit -> float;
   listen : Unix.file_descr;
@@ -149,14 +180,12 @@ let fail t reason =
   (* Fatal-path flight record, written directly (the writer domain may
      be the thing that failed): the journal's last words say why. *)
   if first then
-    match t.flight with
-    | Some fl -> (
-      try
-        Pet_store.Flight_log.append fl
-          (Pet_obs.Flight.meta t.fenc ~now:(t.nowf ()) ~event:"fatal"
-             [ ("reason", reason) ])
-      with Sys_error _ -> ())
-    | None -> ()
+    Option.iter
+      (fun j ->
+        journal_append j
+          (Flight.meta j.enc ~now:(Obs.now ()) ~event:"fatal"
+             [ ("reason", reason) ]))
+      t.journal
 
 let wait t =
   Mutex.lock t.fm;
@@ -184,15 +213,11 @@ let sync_active shard =
    service gauges is safe there) and queue it behind the WAL batches.
    Slow traces ride along; the encoder dedups ids, so a trace is
    journaled once no matter how many ticks see it. *)
-let emit_flight t shard =
-  match t.writer with
-  | Some writer when t.flight <> None && Obs.enabled () ->
-    let nowv = t.nowf () in
-    Service.sync_gauges shard.service;
-    Pet_obs.Slo.sync Service.slo ~now:nowv;
-    let wal = Option.map Store.position t.store_h in
-    let record = Pet_obs.Flight.snap t.fenc ?wal ~now:nowv (Obs.snapshot ()) in
-    let traces = Pet_obs.Flight.slow_traces t.fenc ~now:nowv (Trace.slow ()) in
+let emit_snap t shard =
+  match (t.writer, t.journal) with
+  | Some writer, Some j ->
+    let record = snap_record j ~now:t.nowf ~store:t.store_h shard.service in
+    let traces = Flight.slow_traces j.enc ~now:(Obs.now ()) (Trace.slow ()) in
     List.iter (Group_commit.submit_flight writer) (record :: traces)
   | _ -> ()
 
@@ -250,7 +275,7 @@ let rec shard_loop t shard =
     | Tick ->
       ignore (Service.sweep_tick ~budget:256 shard.service);
       sync_active shard
-    | Flight -> emit_flight t shard
+    | Snap -> emit_snap t shard
     | Request { line; conn } -> handle_request t shard line conn);
     shard_loop t shard
   end
@@ -383,28 +408,82 @@ let ticker_loop t interval =
     if not (Atomic.get t.stop_flag) then begin
       Array.iter (fun shard -> enqueue shard Tick) t.shards;
       (* One flight snapshot per sweep, assembled on shard 0. *)
-      if t.flight <> None then enqueue t.shards.(0) Flight
+      if t.journal <> None then enqueue t.shards.(0) Snap
     end
   done
 
-(* --- Lifecycle -------------------------------------------------------------------- *)
+(* --- TCP lifecycle ---------------------------------------------------------------- *)
 
-let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
-    ?resolve ?store ?(recovery = []) ?(sweep_interval = 1.) ?flight ~domains
-    ~port ~now () =
-  let domains = max 1 domains in
-  let shared = Shared.create () in
-  let tenants = Pet_tenant.Tenant.create ~quota:tenant_quota () in
-  let durable = store <> None in
+type transport =
+  | Stdio
+  | Tcp of { port : int; domains : int; port_file : string option }
+
+(* The services a transport serves from: stdio's one standalone
+   service, or one per TCP shard, each creating only the session ids it
+   owns, with rule texts, ledgers and consents in one [Shared] state. *)
+let create_services ?backend ?compiled ?payoff ?capacity ?ttl ?resolve
+    ~tenants ~durable ~now transport =
+  let make ?owns ?shared () =
+    Service.create ?backend ?compiled ?payoff ?capacity ?ttl ?resolve ?owns
+      ?shared ~tenants ~durable ~now ()
+  in
+  match transport with
+  | Stdio -> [| make () |]
+  | Tcp { domains; _ } ->
+    let shards = max 1 domains in
+    let shared = Shared.create () in
+    Array.init shards (fun index ->
+        make ~owns:(fun id -> Shard_map.owner ~shards id = index) ~shared ())
+
+(* Recovery, for both transports. Replay routes each event to the
+   service that will serve it — the id hash is stable across runs —
+   before any domain is spawned, so no locking is needed. Rule sets and
+   grants go to service 0: texts and ledgers land in the shared state
+   either way, and any other shard recompiles lazily from the shared
+   text on first touch. [report] sees the replay-error count; then the
+   horizons that passed while the process was down take effect before
+   the first request (the consent store is shared, so one pass covers
+   every shard). *)
+let recover ?(report = ignore) services events =
+  let shards = Array.length services in
+  let errors =
+    List.fold_left
+      (fun errors event ->
+        let target =
+          match event with
+          | Persist.Rules _ | Persist.Tenant_published _ | Persist.Grant _ -> 0
+          | Persist.Session_created { id; _ }
+          | Persist.Session_chosen { id; _ }
+          | Persist.Session_submitted { id; _ }
+          | Persist.Session_revoked { id; _ }
+          | Persist.Session_expiry { id; _ } ->
+            Shard_map.owner ~shards id
+        in
+        match Service.apply_event services.(target) event with
+        | Ok () -> errors
+        | Error reason ->
+          Log.error "store.replay_error"
+            ~fields:[ ("reason", Trace.String reason) ];
+          errors + 1)
+      0 events
+  in
+  report errors;
+  let expired = Service.apply_horizons services.(0) in
+  if expired > 0 then
+    Log.info "store.horizons_applied" ~fields:[ ("expired", Trace.Int expired) ]
+
+(* Attach the group-commit sinks, bind, and spawn the shard domains,
+   the writer domain (when [store] is given), the acceptor thread and
+   the sweep ticker. *)
+let launch services ~tenants ?store ?journal ~sweep_interval ~port ~now () =
+  let domains = Array.length services in
   let shards =
-    Array.init domains (fun index ->
-        let owns id = Shard_map.owner ~shards:domains id = index in
+    Array.mapi
+      (fun index service ->
         let labels = [ ("domain", string_of_int index) ] in
         {
           index;
-          service =
-            Service.create ?backend ?compiled ?payoff ?capacity ?ttl ?resolve
-              ~owns ~shared ~tenants ~durable ~now ();
+          service;
           q = Queue.create ();
           qm = Mutex.create ();
           qc = Condition.create ();
@@ -415,37 +494,9 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
           stopped = false;
           domain = None;
         })
+      services
   in
-  (* Replay routes each event to the shard that will serve it — the id
-     hash is stable across runs — before any domain is spawned, so no
-     locking is needed. Rule sets and grants go to shard 0: texts and
-     ledgers land in the shared state either way, and any other shard
-     recompiles lazily from the shared text on first touch. *)
-  List.iter
-    (fun event ->
-      let target =
-        match event with
-        | Persist.Rules _ | Persist.Tenant_published _ | Persist.Grant _ -> 0
-        | Persist.Session_created { id; _ }
-        | Persist.Session_chosen { id; _ }
-        | Persist.Session_submitted { id; _ }
-        | Persist.Session_revoked { id; _ }
-        | Persist.Session_expiry { id; _ } ->
-          Shard_map.owner ~shards:domains id
-      in
-      match Service.apply_event shards.(target).service event with
-      | Ok () -> ()
-      | Error reason ->
-        Log.error "store.replay_error"
-          ~fields:[ ("reason", Trace.String reason) ])
-    recovery;
-  (* Horizons that passed while the process was down take effect before
-     the first request. The consent store is shared, so one pass from
-     any shard covers them all. *)
-  ignore (Service.apply_horizons shards.(0).service);
-  (match store with
-  | None -> ()
-  | Some _ ->
+  if store <> None then
     Array.iter
       (fun shard ->
         Service.set_sink shard.service
@@ -453,7 +504,7 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
             Persist.emit =
               (fun event -> shard.pending := event :: !(shard.pending));
           })
-      shards);
+      shards;
   match
     let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
     Unix.setsockopt fd SO_REUSEADDR true;
@@ -470,15 +521,14 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
       | Unix.ADDR_INET (_, p) -> p
       | _ -> port
     in
+    let flight = Option.map (fun j -> j.log) journal in
     let t =
       {
         shards;
-        shared;
         tenants;
         writer =
           Option.map (Group_commit.start ~batch_target:domains ?flight) store;
-        flight;
-        fenc = Pet_obs.Flight.create ();
+        journal;
         store_h = store;
         nowf = now;
         listen;
@@ -506,19 +556,20 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
     Log.info "net.listening"
       ~fields:
         [ ("port", Trace.Int port); ("domains", Trace.Int domains) ];
-    (match flight with
-    | Some fl -> (
-      try
-        Pet_store.Flight_log.append fl
-          (Pet_obs.Flight.meta t.fenc ~now:(now ()) ~event:"start"
-             [
-               ("transport", "tcp");
-               ("domains", string_of_int domains);
-               ("port", string_of_int port);
-             ])
-      with Sys_error _ -> ())
-    | None -> ());
     Ok t
+
+let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
+    ?resolve ?store ?(recovery = []) ?(sweep_interval = 1.) ?flight ~domains
+    ~port ~now () =
+  let tenants = Tenant.create ~quota:tenant_quota () in
+  let services =
+    create_services ?backend ?compiled ?payoff ?capacity ?ttl ?resolve
+      ~tenants ~durable:(store <> None) ~now
+      (Tcp { port; domains; port_file = None })
+  in
+  recover services recovery;
+  let journal = Option.map (fun log -> { log; enc = Flight.create () }) flight in
+  launch services ~tenants ?store ?journal ~sweep_interval ~port ~now ()
 
 let port t = t.port
 
@@ -546,46 +597,192 @@ let stop t =
         shard.domain <- None)
       t.shards;
     Option.iter Group_commit.stop t.writer;
-    Pet_tenant.Tenant.stop t.tenants;
+    Tenant.stop t.tenants;
     Option.iter Thread.join t.ticker;
     t.ticker <- None
   end
 
-(* The at-exit dump: lifecycle record, any slow traces the periodic
-   ticks missed, and a final delta snapshot. Meant to run after {!stop}
-   (domains joined, so syncing shard 0's gauges is race-free); the
-   fatal-path record is written by [fail] at the moment of failure. *)
-let flight_dump t ~event =
-  match t.flight with
-  | None -> ()
-  | Some fl -> (
-    try
-      let nowv = t.nowf () in
-      if Atomic.get t.stop_flag then Service.sync_gauges t.shards.(0).service;
-      let records =
-        Pet_obs.Flight.meta t.fenc ~now:nowv ~event []
-        :: Pet_obs.Flight.slow_traces t.fenc ~now:nowv (Trace.slow ())
-        @
-        if Obs.enabled () then
-          [
-            Pet_obs.Flight.snap t.fenc
-              ?wal:(Option.map Store.position t.store_h)
-              ~now:nowv (Obs.snapshot ());
-          ]
-        else []
-      in
-      Pet_store.Flight_log.append_batch fl records
-    with Sys_error _ -> ())
-
 let batch_stats t = Option.map Group_commit.stats t.writer
 
-let session_totals t =
-  Array.fold_left
-    (fun (active, created, expired) shard ->
-      let c = Service.session_counters shard.service in
-      ( active + c.Session.active,
-        created + c.Session.created,
-        expired + c.Session.expired ))
-    (0, 0, 0) t.shards
+(* --- The serving driver ------------------------------------------------------------ *)
 
-let shard_services t = Array.map (fun shard -> shard.service) t.shards
+let report_recovery dir (recovery : Store.recovery) replay_errors =
+  let damage_fields (d : Store.damage) =
+    [
+      ("file", Trace.String d.Store.file);
+      ("offset", Trace.Int d.Store.offset);
+      ("reason", Trace.String d.Store.reason);
+    ]
+  in
+  Option.iter
+    (fun d -> Log.warn "store.torn_tail" ~fields:(damage_fields d))
+    recovery.Store.truncated;
+  List.iter
+    (fun d ->
+      Log.error "store.damage"
+        ~fields:
+          (damage_fields d
+          @ [
+              ( "hint",
+                Trace.String
+                  (Printf.sprintf
+                     "replay stopped there; run `pet store verify %s`" dir) );
+            ]))
+    recovery.Store.damage;
+  Log.info "store.recovered"
+    ~fields:
+      ([
+         ("events", Trace.Int (List.length recovery.Store.events));
+         ("files", Trace.Int recovery.Store.files);
+       ]
+      @
+      if replay_errors > 0 then [ ("replay_errors", Trace.Int replay_errors) ]
+      else [])
+
+(* Open the journal in [dir] and tee structured log lines into it,
+   alongside the default standard-error sink. *)
+let open_journal dir =
+  Result.map
+    (fun log ->
+      let j = { log; enc = Flight.create () } in
+      Log.set_sink (fun line ->
+          prerr_endline line;
+          journal_append j (Flight.log_event j.enc ~now:(Obs.now ()) line));
+      j)
+    (Flight_log.open_dir dir)
+
+(* The inline transport: stdin lines answered on the calling domain,
+   one response line each on stdout. A watch line takes over the
+   stream: the same request line is re-dispatched once per frame (each
+   a full snapshot — clients diff consecutive frames), so the response
+   bytes for everything else are untouched; [frames = 0] streams until
+   stdin closes, like the TCP transport. After each request come the
+   per-request chores: a flight snapshot every 32 requests, the
+   [metrics_interval] heartbeat and the compaction check. *)
+let serve_inline service ~store ~journal ~metrics_interval ~now =
+  let answer line =
+    print_endline (Service.handle_line service line);
+    flush stdout
+  in
+  let rec loop handled =
+    match In_channel.input_line stdin with
+    | None -> ()
+    | Some line when String.trim line = "" -> loop handled
+    | Some line ->
+      (match Proto.watch_request line with
+      | Some (interval, frames) ->
+        let rec stream i =
+          if frames = 0 || i < frames then begin
+            answer line;
+            if interval > 0. then Unix.sleepf interval;
+            stream (i + 1)
+          end
+        in
+        stream 0
+      | None -> answer line);
+      let handled = handled + 1 in
+      Option.iter
+        (fun j ->
+          if handled mod 32 = 0 then
+            journal_append j (snap_record j ~now ~store service))
+        journal;
+      if metrics_interval > 0 && handled mod metrics_interval = 0 then begin
+        Service.sync_gauges service;
+        Log.info "metrics.snapshot"
+          ~fields:
+            [ ("line", Trace.String (Pet_obs.Export.line (Obs.snapshot ()))) ]
+      end;
+      Option.iter
+        (fun store ->
+          if Store.wants_compaction store then
+            match Store.compact store ~events:(Service.state_events service) with
+            | Ok _ -> ()
+            | Error m ->
+              Log.error "store.compaction_failed"
+                ~fields:[ ("reason", Trace.String m) ])
+        store;
+      loop handled
+  in
+  loop 0
+
+let serve ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
+    ?resolve ?data_dir ?(fsync = true) ?(flight = false)
+    ?(metrics_interval = 0) ?(sweep_interval = 1.) ~now transport =
+  let ( let* ) = Result.bind in
+  let* store, events, report =
+    match data_dir with
+    | None -> Ok (None, [], ignore)
+    | Some dir -> (
+      match Store.open_dir ~fsync dir with
+      | Error m -> Error (Printf.sprintf "--data-dir %s: %s" dir m)
+      | Ok (store, recovery) ->
+        Ok (Some store, recovery.Store.events, report_recovery dir recovery))
+  in
+  let close_store () = Option.iter Store.close store in
+  let tenants = Tenant.create ~quota:tenant_quota () in
+  let services =
+    create_services ?backend ?compiled ?payoff ?capacity ?ttl ?resolve
+      ~tenants ~durable:(store <> None) ~now transport
+  in
+  recover ~report services events;
+  let* journal =
+    match data_dir with
+    | Some dir when flight -> (
+      match open_journal dir with
+      | Ok j -> Ok (Some j)
+      | Error m ->
+        close_store ();
+        Error (Printf.sprintf "--flight: %s" m))
+    | _ -> Ok None
+  in
+  let started fields =
+    Option.iter
+      (fun j ->
+        journal_append j
+          (Flight.meta j.enc ~now:(Obs.now ()) ~event:"start" fields))
+      journal
+  in
+  (* The exit dump: a final snapshot, the slow traces not yet journaled,
+     the exit mark. Over TCP it runs after [stop], once the shard
+     domains are joined, so syncing service 0's gauges is race-free. *)
+  let finish result =
+    Option.iter
+      (fun j ->
+        journal_append j (snap_record j ~now ~store services.(0));
+        List.iter (journal_append j)
+          (Flight.slow_traces j.enc ~now:(Obs.now ()) (Trace.slow ()));
+        journal_append j (Flight.meta j.enc ~now:(Obs.now ()) ~event:"exit" []);
+        Log.set_sink prerr_endline;
+        Flight_log.close j.log)
+      journal;
+    Tenant.stop tenants;
+    close_store ();
+    result
+  in
+  match transport with
+  | Stdio ->
+    (* Attached after recovery, so replayed events are not re-logged. *)
+    Option.iter (fun s -> Service.set_sink services.(0) (Store.sink s)) store;
+    started [ ("mode", "stdio") ];
+    serve_inline services.(0) ~store ~journal ~metrics_interval ~now;
+    finish (Ok ())
+  | Tcp { port; port_file; _ } -> (
+    match
+      launch services ~tenants ?store ?journal ~sweep_interval ~port ~now ()
+    with
+    | Error m -> finish (Error m)
+    | Ok t ->
+      started
+        [
+          ("transport", "tcp");
+          ("domains", string_of_int (Array.length services));
+          ("port", string_of_int t.port);
+        ];
+      Option.iter
+        (fun file ->
+          Out_channel.with_open_text file (fun oc ->
+              Printf.fprintf oc "%d\n" t.port))
+        port_file;
+      let result = wait t in
+      stop t;
+      finish result)
